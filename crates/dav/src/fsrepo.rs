@@ -262,8 +262,12 @@ impl FsRepository {
     /// Open the property DB for `path`, creating it when `create` is set.
     /// Returns `None` when it does not exist and `create` is false.
     fn open_props(&self, path: &str, create: bool) -> Result<Option<Box<dyn Dbm>>> {
-        let base = self.props_base(path);
-        if !dbm_exists(self.config.dbm_kind, &base) && !create {
+        self.open_props_at(&self.props_base(path), create)
+    }
+
+    /// [`Self::open_props`] for an already-derived property-database stem.
+    fn open_props_at(&self, base: &Path, create: bool) -> Result<Option<Box<dyn Dbm>>> {
+        if !dbm_exists(self.config.dbm_kind, base) && !create {
             return Ok(None);
         }
         if create {
@@ -271,7 +275,7 @@ impl FsRepository {
                 fs::create_dir_all(parent)?;
             }
         }
-        Ok(Some(open_dbm(self.config.dbm_kind, &base)?))
+        Ok(Some(open_dbm(self.config.dbm_kind, base)?))
     }
 
     fn check_exists(&self, path: &str) -> Result<PathBuf> {
@@ -348,10 +352,8 @@ impl FsRepository {
             let mut ddb = self
                 .open_props(dst, true)?
                 .expect("create=true always yields a database");
-            for key in sdb.keys()? {
-                if let Some(v) = sdb.fetch(&key)? {
-                    ddb.store(&key, &v, StoreMode::Replace)?;
-                }
+            for (key, v) in sdb.scan()? {
+                ddb.store(&key, &v, StoreMode::Replace)?;
             }
             ddb.sync()?;
         }
@@ -386,12 +388,11 @@ impl FsRepository {
         std::fs::metadata(self.fs_path(path)).ok()?.created().ok()
     }
 
-    /// Modification time of the property database backing `path`, if
-    /// one exists (checks every extension either DBM engine writes).
-    fn props_file_mtime(&self, path: &str) -> Option<SystemTime> {
-        let base = self.props_base(path);
+    /// Modification time of the property database at stem `base`, if
+    /// one exists (the latest over the configured engine's files).
+    fn props_file_mtime(&self, base: &Path) -> Option<SystemTime> {
         let mut latest: Option<SystemTime> = None;
-        for ext in ["db", "pag", "dir"] {
+        for ext in self.config.dbm_kind.extensions() {
             if let Ok(m) = fs::metadata(base.with_extension(ext)) {
                 if let Ok(t) = m.modified() {
                     latest = Some(latest.map_or(t, |l| l.max(t)));
@@ -402,25 +403,22 @@ impl FsRepository {
     }
 
     /// Load the full property snapshot for `path`, from cache when
-    /// possible, otherwise with a single DBM open.
+    /// possible, otherwise with a single DBM open and one `scan`.
     fn snapshot(&self, path: &str) -> Result<Arc<PropSnapshot>> {
         let key = normalize_path(path);
         if let Some(snap) = self.prop_cache.get(&key) {
             return Ok(snap);
         }
+        let base = self.props_base(&key);
         let mut content_type = None;
         let mut props = Vec::new();
-        if let Some(mut db) = self.open_props(&key, false)? {
-            for dbm_key in db.keys()? {
+        if let Some(mut db) = self.open_props_at(&base, false)? {
+            for (dbm_key, data) in db.scan()? {
                 if dbm_key == KEY_CONTENT_TYPE {
-                    content_type = db
-                        .fetch(&dbm_key)?
-                        .and_then(|v| String::from_utf8(v).ok());
+                    content_type = String::from_utf8(data).ok();
                 } else if !dbm_key.starts_with(b"\x01") {
                     if let Some(name) = PropertyName::from_storage_key(&dbm_key) {
-                        if let Some(data) = db.fetch(&dbm_key)? {
-                            props.push((name, data));
-                        }
+                        props.push((name, data));
                     }
                 }
             }
@@ -429,7 +427,7 @@ impl FsRepository {
         let snap = Arc::new(PropSnapshot {
             content_type,
             props,
-            props_mtime: self.props_file_mtime(&key),
+            props_mtime: self.props_file_mtime(&base),
         });
         let cost = snap.cost();
         self.prop_cache.insert(key, Arc::clone(&snap), cost);

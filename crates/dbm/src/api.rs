@@ -36,6 +36,15 @@ impl DbmKind {
             DbmKind::Gdbm => "gdbm",
         }
     }
+
+    /// Extensions of the files a database of this kind keeps at its
+    /// stem, the one that always exists first.
+    pub fn extensions(self) -> &'static [&'static str] {
+        match self {
+            DbmKind::Sdbm => &["pag", "dir"],
+            DbmKind::Gdbm => &["db"],
+        }
+    }
 }
 
 /// A single-writer key/value database backed by one (or two, for SDBM)
@@ -55,6 +64,22 @@ pub trait Dbm: Send {
 
     /// All keys, in unspecified order.
     fn keys(&mut self) -> Result<Vec<Vec<u8>>>;
+
+    /// All key/value pairs, in unspecified order.
+    ///
+    /// Loading a whole database (a property snapshot, a copy, a
+    /// compaction) should use this rather than `keys` plus one `fetch`
+    /// per key: both engines override it to read each page or record
+    /// run once.
+    fn scan(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let mut out = Vec::new();
+        for key in self.keys()? {
+            if let Some(v) = self.fetch(&key)? {
+                out.push((key, v));
+            }
+        }
+        Ok(out)
+    }
 
     /// Number of stored pairs.
     fn len(&mut self) -> Result<usize>;
@@ -101,11 +126,7 @@ pub fn open_dbm(kind: DbmKind, base: &Path) -> Result<Box<dyn Dbm>> {
 
 /// Remove the on-disk files of a database of `kind` at `base`, if present.
 pub fn remove_dbm(kind: DbmKind, base: &Path) -> std::io::Result<()> {
-    let files: &[&str] = match kind {
-        DbmKind::Sdbm => &["pag", "dir"],
-        DbmKind::Gdbm => &["db"],
-    };
-    for ext in files {
+    for ext in kind.extensions() {
         let p = base.with_extension(ext);
         if p.exists() {
             std::fs::remove_file(p)?;
@@ -116,10 +137,7 @@ pub fn remove_dbm(kind: DbmKind, base: &Path) -> std::io::Result<()> {
 
 /// Do database files of `kind` exist at `base`?
 pub fn dbm_exists(kind: DbmKind, base: &Path) -> bool {
-    match kind {
-        DbmKind::Sdbm => base.with_extension("pag").exists(),
-        DbmKind::Gdbm => base.with_extension("db").exists(),
-    }
+    base.with_extension(kind.extensions()[0]).exists()
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use crate::error::{Error, Result};
 use crate::stats::DbmStats;
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Default initial database size — the paper's "25 KB".
@@ -45,6 +45,47 @@ struct Entry {
     key_len: u32,
     val_len: u32,
     offset: u64,
+}
+
+impl Entry {
+    /// Bytes the record occupies: the key, then the value.
+    fn record_len(&self) -> u64 {
+        u64::from(self.key_len) + u64::from(self.val_len)
+    }
+}
+
+/// Where a live record sits in the file: `[start, end)`, key first.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    start: u64,
+    end: u64,
+    key_len: usize,
+}
+
+/// Split extents sorted by `start` into runs that one read covers,
+/// returning the number of extents in each run. A run grows while the
+/// next record starts less than one bucket past the run's end, so a
+/// run reads at most a bucket's worth of dead space per record and a
+/// wider gap (superseded large values, split buckets) is skipped.
+fn read_runs(sorted: &[Extent]) -> Vec<usize> {
+    let mut runs = Vec::new();
+    let mut rest = sorted;
+    while let Some(first) = rest.first() {
+        let mut end = first.end;
+        let n = 1 + rest[1..]
+            .iter()
+            .take_while(|x| {
+                let joins = x.start.saturating_sub(end) < BUCKET_SIZE;
+                if joins {
+                    end = end.max(x.end);
+                }
+                joins
+            })
+            .count();
+        runs.push(n);
+        rest = &rest[n..];
+    }
+    runs
 }
 
 #[derive(Debug, Clone)]
@@ -169,15 +210,13 @@ impl Gdbm {
         h[24..32].copy_from_slice(&self.data_end.to_le_bytes());
         h[32..40].copy_from_slice(&self.dead_bytes.to_le_bytes());
         h[40..48].copy_from_slice(&self.entries.to_le_bytes());
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&h)?;
+        self.file.write_all_at(&h, 0)?;
         Ok(())
     }
 
     fn load(&mut self) -> Result<()> {
         let mut h = vec![0u8; HEADER_SIZE as usize];
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.read_exact(&mut h)?;
+        self.file.read_exact_at(&mut h, 0)?;
         if &h[0..8] != MAGIC {
             return Err(Error::Corrupt("bad magic".into()));
         }
@@ -191,8 +230,7 @@ impl Gdbm {
         }
         let slots = 1usize << self.depth;
         let mut dir = vec![0u8; slots * 8];
-        self.file.seek(SeekFrom::Start(dir_offset))?;
-        self.file.read_exact(&mut dir)?;
+        self.file.read_exact_at(&mut dir, dir_offset)?;
         self.directory = dir
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
@@ -206,23 +244,20 @@ impl Gdbm {
         for off in &self.directory {
             buf.extend_from_slice(&off.to_le_bytes());
         }
-        self.file.seek(SeekFrom::Start(at))?;
-        self.file.write_all(&buf)?;
+        self.file.write_all_at(&buf, at)?;
         self.dir_offset_cache = at;
         Ok(())
     }
 
-    fn read_bucket(&mut self, off: u64) -> Result<Bucket> {
+    fn read_bucket(&self, off: u64) -> Result<Bucket> {
         let mut buf = vec![0u8; BUCKET_SIZE as usize];
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(&mut buf)?;
+        self.file.read_exact_at(&mut buf, off)?;
         crate::obs::record_page_read();
         Bucket::decode(&buf)
     }
 
     fn write_bucket(&mut self, off: u64, bucket: &Bucket) -> Result<()> {
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(&bucket.encode())?;
+        self.file.write_all_at(&bucket.encode(), off)?;
         // Occupancy numerator: the 16-byte header plus the live entry
         // table (records live outside the bucket in GDBM's layout).
         crate::obs::record_page_write(16 + bucket.entries.len() as u64 * 24, BUCKET_SIZE);
@@ -233,19 +268,58 @@ impl Gdbm {
         (hash as usize) & ((1usize << self.depth) - 1)
     }
 
-    fn read_record(&mut self, e: &Entry) -> Result<(Vec<u8>, Vec<u8>)> {
-        let mut buf = vec![0u8; (e.key_len + e.val_len) as usize];
-        self.file.seek(SeekFrom::Start(e.offset))?;
-        self.file.read_exact(&mut buf)?;
-        let val = buf.split_off(e.key_len as usize);
+    /// Where `e`'s record lies. A corrupt entry whose record would
+    /// wrap or run past the data area is rejected before anything is
+    /// allocated for it.
+    fn extent(&self, e: &Entry) -> Result<Extent> {
+        match e.offset.checked_add(e.record_len()) {
+            Some(end) if end <= self.data_end => Ok(Extent {
+                start: e.offset,
+                end,
+                key_len: e.key_len as usize,
+            }),
+            _ => Err(Error::Corrupt(format!(
+                "record of {} bytes at {} runs past the data end {}",
+                e.record_len(),
+                e.offset,
+                self.data_end
+            ))),
+        }
+    }
+
+    fn read_record(&self, e: &Entry) -> Result<(Vec<u8>, Vec<u8>)> {
+        let x = self.extent(e)?;
+        let mut buf = vec![0u8; (x.end - x.start) as usize];
+        self.file.read_exact_at(&mut buf, x.start)?;
+        let val = buf.split_off(x.key_len);
         Ok((buf, val))
+    }
+
+    /// Read only the key of `e`'s record (key comparisons need no value).
+    fn read_key(&self, e: &Entry) -> Result<Vec<u8>> {
+        let x = self.extent(e)?;
+        let mut key = vec![0u8; x.key_len];
+        self.file.read_exact_at(&mut key, x.start)?;
+        Ok(key)
+    }
+
+    /// Extents of every live record, sorted by file offset, reading
+    /// each distinct bucket once.
+    fn live_extents(&self) -> Result<Vec<Extent>> {
+        let mut live = Vec::new();
+        for off in self.bucket_offsets() {
+            for e in &self.read_bucket(off)?.entries {
+                live.push(self.extent(e)?);
+            }
+        }
+        live.sort_unstable_by_key(|x| x.start);
+        Ok(live)
     }
 
     fn append_record(&mut self, key: &[u8], value: &[u8]) -> Result<u64> {
         let off = self.data_end;
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(key)?;
-        self.file.write_all(value)?;
+        self.file.write_all_at(key, off)?;
+        self.file.write_all_at(value, off + key.len() as u64)?;
         self.data_end = off + key.len() as u64 + value.len() as u64;
         Ok(off)
     }
@@ -317,6 +391,14 @@ impl Gdbm {
 
 impl Dbm for Gdbm {
     fn store(&mut self, key: &[u8], value: &[u8], mode: StoreMode) -> Result<()> {
+        // Entries record both lengths as u32.
+        let (Ok(key_len), Ok(val_len)) = (u32::try_from(key.len()), u32::try_from(value.len()))
+        else {
+            return Err(Error::PairTooLarge {
+                size: key.len().saturating_add(value.len()),
+                limit: u32::MAX as usize,
+            });
+        };
         let hash = gdbm_hash(key);
         loop {
             let slot = self.slot(hash);
@@ -325,25 +407,21 @@ impl Dbm for Gdbm {
             // Existing key?
             let mut found = None;
             for (i, e) in bucket.entries.iter().enumerate() {
-                if e.hash == hash && e.key_len as usize == key.len() {
-                    let (k, _) = self.read_record(e)?;
-                    if k == key {
-                        found = Some(i);
-                        break;
-                    }
+                if e.hash == hash && e.key_len == key_len && self.read_key(e)? == key {
+                    found = Some(i);
+                    break;
                 }
             }
             if let Some(i) = found {
                 if mode == StoreMode::Insert {
                     return Err(Error::AlreadyExists);
                 }
-                let old = bucket.entries[i];
-                self.dead_bytes += (old.key_len + old.val_len) as u64;
+                self.dead_bytes += bucket.entries[i].record_len();
                 let off = self.append_record(key, value)?;
                 bucket.entries[i] = Entry {
                     hash,
-                    key_len: key.len() as u32,
-                    val_len: value.len() as u32,
+                    key_len,
+                    val_len,
                     offset: off,
                 };
                 self.write_bucket(bucket_off, &bucket)?;
@@ -357,8 +435,8 @@ impl Dbm for Gdbm {
             let off = self.append_record(key, value)?;
             bucket.entries.push(Entry {
                 hash,
-                key_len: key.len() as u32,
-                val_len: value.len() as u32,
+                key_len,
+                val_len,
                 offset: off,
             });
             self.entries += 1;
@@ -389,28 +467,53 @@ impl Dbm for Gdbm {
         let mut bucket = self.read_bucket(bucket_off)?;
         for i in 0..bucket.entries.len() {
             let e = bucket.entries[i];
-            if e.hash == hash && e.key_len as usize == key.len() {
-                let (k, _) = self.read_record(&e)?;
-                if k == key {
-                    bucket.entries.swap_remove(i);
-                    self.dead_bytes += (e.key_len + e.val_len) as u64;
-                    self.entries -= 1;
-                    self.write_bucket(bucket_off, &bucket)?;
-                    self.write_header(self.dir_offset_cache)?;
-                    return Ok(true);
-                }
+            if e.hash == hash && e.key_len as usize == key.len() && self.read_key(&e)? == key {
+                bucket.entries.swap_remove(i);
+                self.dead_bytes += e.record_len();
+                self.entries -= 1;
+                self.write_bucket(bucket_off, &bucket)?;
+                self.write_header(self.dir_offset_cache)?;
+                return Ok(true);
             }
         }
         Ok(false)
     }
 
     fn keys(&mut self) -> Result<Vec<Vec<u8>>> {
-        let mut out = Vec::with_capacity(self.entries as usize);
+        let mut out = Vec::new();
         for off in self.bucket_offsets() {
-            let bucket = self.read_bucket(off)?;
-            for e in &bucket.entries {
-                let (k, _) = self.read_record(e)?;
-                out.push(k);
+            for e in &self.read_bucket(off)?.entries {
+                out.push(self.read_key(e)?);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Every pair in as few reads as the layout allows: each distinct
+    /// bucket once, then one positioned read per run of nearby records
+    /// (see [`read_runs`]), so dead space wider than a bucket is never
+    /// read.
+    fn scan(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
+        let live = self.live_extents()?;
+        let mut out = Vec::with_capacity(live.len());
+        let mut rest = &live[..];
+        for n in read_runs(&live) {
+            let (run, tail) = rest.split_at(n);
+            rest = tail;
+            let start = run[0].start;
+            let end = run.iter().map(|x| x.end).max().expect("runs are non-empty");
+            let mut buf = vec![0u8; (end - start) as usize];
+            self.file.read_exact_at(&mut buf, start)?;
+            if let [x] = run {
+                // A lone record (say one large value) is split, not copied.
+                let val = buf.split_off(x.key_len);
+                out.push((buf, val));
+                continue;
+            }
+            for x in run {
+                let rec = &buf[(x.start - start) as usize..(x.end - start) as usize];
+                let (k, v) = rec.split_at(x.key_len);
+                out.push((k.to_vec(), v.to_vec()));
             }
         }
         Ok(out)
@@ -429,9 +532,8 @@ impl Dbm for Gdbm {
         let mut live = 0u64;
         let offsets = self.bucket_offsets();
         for &off in &offsets {
-            let bucket = self.read_bucket(off)?;
-            for e in &bucket.entries {
-                live += (e.key_len + e.val_len) as u64;
+            for e in &self.read_bucket(off)?.entries {
+                live += e.record_len();
             }
         }
         Ok(DbmStats {
@@ -448,10 +550,8 @@ impl Dbm for Gdbm {
         let tmp_base = self.path.with_file_name(format!("{stem}-ctmp"));
         let _ = std::fs::remove_file(tmp_base.with_extension("db"));
         let mut fresh = Gdbm::open(&tmp_base)?;
-        for key in self.keys()? {
-            if let Some(v) = self.fetch(&key)? {
-                fresh.store(&key, &v, StoreMode::Replace)?;
-            }
+        for (key, v) in self.scan()? {
+            fresh.store(&key, &v, StoreMode::Replace)?;
         }
         fresh.sync()?;
         let fresh_path = fresh.path.clone();
@@ -597,6 +697,159 @@ mod tests {
         db.store(b"", b"", StoreMode::Replace).unwrap();
         assert_eq!(db.fetch(b"").unwrap().unwrap(), b"");
         assert_eq!(db.len().unwrap(), 1);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    /// Store eight pairs, then overwrite fields of the first entry of a
+    /// non-empty bucket directly in the file with `patch`, which gets
+    /// the entry's 24 bytes. Returns the stem and the victim's key.
+    fn with_patched_entry(tag: &str, patch: impl Fn(&mut [u8])) -> (PathBuf, Vec<u8>) {
+        let d = tmpdir(tag);
+        let base = d.join("t");
+        let mut db = Gdbm::open(&base).unwrap();
+        let keys: Vec<Vec<u8>> = (0..8).map(|i| format!("k{i}").into_bytes()).collect();
+        for k in &keys {
+            db.store(k, b"some value", StoreMode::Replace).unwrap();
+        }
+        let (off, victim) = db
+            .bucket_offsets()
+            .into_iter()
+            .find_map(|o| Some((o, *db.read_bucket(o).unwrap().entries.first()?)))
+            .unwrap();
+        drop(db);
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(base.with_extension("db"))
+            .unwrap();
+        let mut raw = [0u8; 24];
+        file.read_exact_at(&mut raw, off + 16).unwrap();
+        patch(&mut raw);
+        file.write_all_at(&raw, off + 16).unwrap();
+        let key = keys
+            .into_iter()
+            .find(|k| gdbm_hash(k) == victim.hash)
+            .unwrap();
+        (d, key)
+    }
+
+    #[test]
+    fn corrupt_record_extent_is_rejected_not_wrapped() {
+        fn check(tag: &str, patch: impl Fn(&mut [u8]), key_len_intact: bool) {
+            let (d, key) = with_patched_entry(tag, patch);
+            let mut db = Gdbm::open(&d.join("t")).unwrap();
+            assert!(matches!(db.scan(), Err(Error::Corrupt(_))), "{tag}: scan");
+            assert!(matches!(db.keys(), Err(Error::Corrupt(_))), "{tag}: keys");
+            let fetched = db.fetch(&key);
+            if key_len_intact {
+                assert!(matches!(fetched, Err(Error::Corrupt(_))), "{tag}: fetch");
+                assert!(
+                    matches!(db.delete(&key), Err(Error::Corrupt(_))),
+                    "{tag}: delete"
+                );
+            } else {
+                // The length check no longer matches; the key reads as absent.
+                assert!(matches!(fetched, Ok(None)), "{tag}: fetch");
+            }
+            std::fs::remove_dir_all(&d).unwrap();
+        }
+        // val_len far past the data end.
+        check(
+            "bad-val-len",
+            |e| e[8..12].copy_from_slice(&u32::MAX.to_le_bytes()),
+            true,
+        );
+        // key_len + val_len wraps in u32.
+        check("bad-lens", |e| e[4..12].fill(0xff), false);
+        // offset + length wraps in u64.
+        check(
+            "bad-offset",
+            |e| e[16..24].copy_from_slice(&(u64::MAX - 4).to_le_bytes()),
+            true,
+        );
+    }
+
+    #[test]
+    fn corrupt_entry_count_is_not_trusted_for_allocation() {
+        let d = tmpdir("bad-count");
+        let base = d.join("t");
+        let mut db = Gdbm::open(&base).unwrap();
+        db.store(b"k", b"v", StoreMode::Replace).unwrap();
+        drop(db);
+        let file = OpenOptions::new()
+            .write(true)
+            .open(base.with_extension("db"))
+            .unwrap();
+        file.write_all_at(&u64::MAX.to_le_bytes(), 40).unwrap();
+        let mut db = Gdbm::open(&base).unwrap();
+        assert_eq!(db.keys().unwrap(), vec![b"k".to_vec()]);
+        assert_eq!(db.scan().unwrap(), vec![(b"k".to_vec(), b"v".to_vec())]);
+        std::fs::remove_dir_all(&d).unwrap();
+    }
+
+    #[test]
+    fn read_runs_split_at_one_bucket_of_gap() {
+        let x = |start: u64, end: u64| Extent {
+            start,
+            end,
+            key_len: 0,
+        };
+        let extents = [
+            x(0, 10),
+            x(10, 20),                         // adjacent: joins
+            x(20 + BUCKET_SIZE - 1, 5000),     // gap one short of a bucket: joins
+            x(5000 + BUCKET_SIZE, 9200),       // gap of exactly a bucket: new run
+            x(9100, 9150),                     // overlaps the run (corrupt file): joins
+            x(9200 + 3 * BUCKET_SIZE, 30_000), // wide gap: new run
+        ];
+        assert_eq!(read_runs(&extents), vec![3, 2, 1]);
+        assert!(read_runs(&[]).is_empty());
+    }
+
+    #[test]
+    fn scan_reads_around_wide_dead_space_and_through_narrow() {
+        let d = tmpdir("runs");
+        let mut db = Gdbm::open(&d.join("t")).unwrap();
+        let narrow = vec![b'n'; 100];
+        let wide = vec![b'w'; 3 * BUCKET_SIZE as usize];
+        db.store(b"a", b"live a", StoreMode::Replace).unwrap();
+        db.store(b"narrow", &narrow, StoreMode::Replace).unwrap();
+        db.store(b"b", b"live b", StoreMode::Replace).unwrap();
+        db.store(b"wide", &wide, StoreMode::Replace).unwrap();
+        db.store(b"c", b"live c", StoreMode::Replace).unwrap();
+        // Superseding both fillers leaves a 106-byte dead gap between a
+        // and b and a 12 KiB one between b and c.
+        db.store(b"narrow", b"n2", StoreMode::Replace).unwrap();
+        db.store(b"wide", b"w2", StoreMode::Replace).unwrap();
+
+        let live = db.live_extents().unwrap();
+        let runs = read_runs(&live);
+        assert_eq!(runs, vec![2, 3], "{live:?}");
+        let (first, second) = live.split_at(2);
+        assert_eq!(first[1].start - first[0].end, 6 + narrow.len() as u64);
+        assert_eq!(second[0].start - first[1].end, 4 + wide.len() as u64);
+        let read: u64 = [first, second]
+            .iter()
+            .map(|r| r[r.len() - 1].end - r[0].start)
+            .sum();
+        assert!(
+            read < 200,
+            "the wide dead record must not be read: {read} bytes"
+        );
+
+        let mut got = db.scan().unwrap();
+        got.sort();
+        let want: Vec<(Vec<u8>, Vec<u8>)> = [
+            ("a", "live a"),
+            ("b", "live b"),
+            ("c", "live c"),
+            ("narrow", "n2"),
+            ("wide", "w2"),
+        ]
+        .iter()
+        .map(|(k, v)| (k.as_bytes().to_vec(), v.as_bytes().to_vec()))
+        .collect();
+        assert_eq!(got, want);
         std::fs::remove_dir_all(&d).unwrap();
     }
 

@@ -19,6 +19,7 @@ use crate::error::{Error, Result};
 use crate::stats::DbmStats;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Page size in bytes.
@@ -29,6 +30,9 @@ pub const DBLKSIZ: usize = 4096;
 pub const PAIR_MAX: usize = 1008;
 /// Maximum consecutive page splits before giving up (classic `SPLTMAX`).
 const SPLT_MAX: usize = 10;
+/// Pages [`Sdbm`]'s `scan` reads at a time: sdbm files can be sparse,
+/// so this bounds its buffer rather than reading the whole file.
+const SCAN_PAGES: usize = 64;
 /// Initial `.pag` preallocation — the "default initial size of 8 KB".
 pub const INITIAL_SIZE: u64 = 8 * 1024;
 
@@ -333,13 +337,28 @@ impl Dbm for Sdbm {
     }
 
     fn keys(&mut self) -> Result<Vec<Vec<u8>>> {
+        // Pairs share their page, so keys alone cost the same reads.
+        Ok(self.scan()?.into_iter().map(|(k, _)| k).collect())
+    }
+
+    /// Every pair, reading the `.pag` file [`SCAN_PAGES`] pages at a
+    /// time and decoding each page once.
+    fn scan(&mut self) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
         self.flush_page()?;
+        let len = self.pag.metadata()?.len();
+        let mut buf = vec![0u8; SCAN_PAGES * PBLKSIZ];
         let mut out = Vec::new();
-        for pagno in 0..self.page_count()? {
-            self.load_page(pagno)?;
-            for (k, _) in Self::decode(&self.cur_page)? {
-                out.push(k);
+        let mut off = 0u64;
+        while off < len {
+            let n = (len - off).min(buf.len() as u64) as usize;
+            // A short tail page reads as zero-padded, as in `load_page`.
+            buf[n..].fill(0);
+            self.pag.read_exact_at(&mut buf[..n], off)?;
+            for page in buf[..n.next_multiple_of(PBLKSIZ)].chunks(PBLKSIZ) {
+                crate::obs::record_page_read();
+                out.extend(Self::decode(page)?);
             }
+            off += n as u64;
         }
         Ok(out)
     }
@@ -356,16 +375,9 @@ impl Dbm for Sdbm {
     }
 
     fn stats(&mut self) -> Result<DbmStats> {
-        self.flush_page()?;
-        let mut live = 0u64;
-        let mut entries = 0u64;
-        for pagno in 0..self.page_count()? {
-            self.load_page(pagno)?;
-            for (k, v) in Self::decode(&self.cur_page)? {
-                live += (k.len() + v.len()) as u64;
-                entries += 1;
-            }
-        }
+        let pairs = self.scan()?;
+        let live: u64 = pairs.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
+        let entries = pairs.len() as u64;
         let disk = self.pag.metadata()?.len() + self.dir.metadata()?.len();
         Ok(DbmStats {
             disk_bytes: disk,
@@ -384,16 +396,7 @@ impl Dbm for Sdbm {
         // not share the live stem or `with_extension` would collide.
         let stem = self.pag_path.file_stem().unwrap().to_string_lossy().into_owned();
         let tmp_base = self.pag_path.with_file_name(format!("{stem}-ctmp"));
-        let pairs: Vec<(Vec<u8>, Vec<u8>)> = {
-            let keys = self.keys()?;
-            let mut out = Vec::with_capacity(keys.len());
-            for k in keys {
-                if let Some(v) = self.fetch(&k)? {
-                    out.push((k, v));
-                }
-            }
-            out
-        };
+        let pairs = self.scan()?;
         let mut fresh = Sdbm::open(&tmp_base)?;
         for (k, v) in &pairs {
             fresh.store(k, v, StoreMode::Replace)?;

@@ -10,7 +10,7 @@
 #    overhead check — repro_table1 with the registry enabled must stay
 #    within 5% of a registry-disabled run.
 # 4. Lint: clippy with warnings denied on the dependency-free crates
-#    where we hold the bar at zero (pse-cache and pse-obs today).
+#    where we hold the bar at zero (pse-cache, pse-obs and pse-dbm today).
 #    Skipped with a notice if the clippy component is not installed.
 # 5. Adversarial wire tests: the incremental-parser matrix (trickled
 #    bytes, split heads, pipelining, oversized headers, half-close)
@@ -99,9 +99,10 @@ echo "==> observability: instrumentation overhead <= 5% (repro_table1 --obs-chec
 ./target/release/repro_table1 --obs-check
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> lint: cargo clippy -p pse-cache -p pse-obs -- -D warnings"
+    echo "==> lint: cargo clippy -p pse-cache -p pse-obs -p pse-dbm -- -D warnings"
     cargo clippy -p pse-cache --all-targets -- -D warnings
     cargo clippy -p pse-obs --all-targets -- -D warnings
+    cargo clippy -p pse-dbm --all-targets -- -D warnings
 else
     echo "==> lint: clippy not installed, skipping"
 fi
